@@ -124,10 +124,12 @@ type Engine struct {
 	pending  int
 
 	// Timing-wheel state (wheel.go). ready is the sorted run of events at
-	// or before curTick; readyHead is its consumed prefix.
+	// or before curTick; readyHead is its consumed prefix. sortBuf is
+	// sortReady's merge scratch, kept between promotions.
 	curTick   int64
 	ready     []*event
 	readyHead int
+	sortBuf   []*event
 	levels    [numLevels]wheelLevel
 	overflow  overflowHeap
 

@@ -8,9 +8,9 @@ import (
 // FuzzWheelCursorBehind fuzzes the wheel's trickiest path: merge-inserting
 // into the sorted ready run when the cursor has jumped ahead of the clock
 // (after RunUntil toward a far event) and new events land at or behind
-// curTick. The oracle is the engine's documented contract: across the whole
-// run, live events fire in strict (at, schedule-order) order, canceled
-// events never fire, and nothing is lost.
+// curTick. The oracle is the engine's documented contract: every event
+// that fires is the (at, prio, schedule order) minimum of the events
+// pending at that moment, canceled events never fire, and nothing is lost.
 //
 // Each input byte stream decodes to a little op program:
 //
@@ -19,6 +19,7 @@ import (
 //	op 2: RunUntil(now + delta)           (jumps the cursor; behind-cursor
 //	                                       schedules follow)
 //	op 3: Cancel a previously scheduled event
+//	op 4: SchedulePrio at now + small delta with a prio at or before now
 func FuzzWheelCursorBehind(f *testing.F) {
 	le := binary.LittleEndian
 	mk := func(ops ...uint64) []byte {
@@ -37,6 +38,21 @@ func FuzzWheelCursorBehind(f *testing.F) {
 	f.Add(mk(0xffff_01, 0x0010_02, 0x0001_00, 0x0001_00, 0x0000_03))
 	f.Add(mk(0xffff_01, 0xffff_01, 0xffff_02, 0x0000_00, 0x0002_00, 0x0004_03))
 	f.Add(mk(0x8000_02, 0x0001_00, 0x0003_00, 0x0001_03, 0x4000_02))
+	f.Add(mk(0x0040_02, 0x0305_04, 0x0000_00, 0x0105_04, 0x0005_04, 0x0010_02, 0x0200_04))
+	// A single-tick burst of several hundred events after a cursor jump:
+	// sub-tick times, mixed prios, a few cancels.
+	burst := []uint64{0x0100_02}
+	for k := uint64(0); k < 450; k++ {
+		switch k % 9 {
+		case 4:
+			burst = append(burst, (k*7919)<<8|3)
+		case 1, 6:
+			burst = append(burst, ((k%5)<<8|k*37%256)<<8|4)
+		default:
+			burst = append(burst, (k*131%8192)<<8)
+		}
+	}
+	f.Add(mk(burst...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
@@ -44,32 +60,35 @@ func FuzzWheelCursorBehind(f *testing.F) {
 		}
 		eng := New()
 		type rec struct {
-			at       Time
-			order    int // schedule order, the tie-break oracle
-			canceled bool
-			fired    bool
-			h        Event
+			at, prio    Time
+			order       int // schedule order, the last tie-break
+			firedBefore int // events fired when this one was scheduled
+			canceled    bool
+			fired       bool
+			h           Event
 		}
 		var scheduled []*rec
 		var fired []*rec
 		for i := 0; i+2 < len(data); i += 3 {
-			op := data[i] & 3
+			op := data[i] % 5
 			arg := Time(le.Uint16(data[i+1 : i+3]))
 			switch op {
-			case 0:
-				r := &rec{order: len(scheduled)}
-				r.at = eng.Now() + arg
-				r.h = eng.Schedule(r.at, func() {
-					r.fired = true
-					fired = append(fired, r)
-				})
-				scheduled = append(scheduled, r)
-			case 1:
-				// Scale into coarse levels and (for large args) past the
-				// wheel horizon so overflow migration is exercised too.
-				r := &rec{order: len(scheduled)}
-				r.at = eng.Now() + arg<<23
-				r.h = eng.Schedule(r.at, func() {
+			case 0, 1, 4:
+				r := &rec{order: len(scheduled), prio: eng.Now(), firedBefore: len(fired)}
+				switch op {
+				case 0:
+					r.at = eng.Now() + arg
+				case 1:
+					// Scale into coarse levels and (for large args) past
+					// the wheel horizon so overflow migration is exercised.
+					r.at = eng.Now() + arg<<23
+				case 4:
+					// Low byte: a delta within a tick or two; high byte:
+					// how far before now the prio stamp lies.
+					r.at = eng.Now() + (arg&0xff)<<6
+					r.prio = max(0, eng.Now()-(arg>>8)<<8)
+				}
+				r.h = eng.SchedulePrio(r.at, r.prio, func() {
 					r.fired = true
 					fired = append(fired, r)
 				})
@@ -105,14 +124,25 @@ func FuzzWheelCursorBehind(f *testing.F) {
 		if len(fired) != nLive {
 			t.Fatalf("fired %d events, scheduled %d live", len(fired), nLive)
 		}
-		// Oracle 2: global firing order is strict (at, schedule order).
-		// Schedule panics on at < now, so every later-scheduled event has
-		// at >= all previously fired ats and the global order is total.
-		for i := 1; i < len(fired); i++ {
-			a, b := fired[i-1], fired[i]
-			if a.at > b.at || (a.at == b.at && a.order > b.order) {
-				t.Fatalf("firing order violated at step %d: (at=%v order=%d) before (at=%v order=%d)",
-					i, a.at, a.order, b.at, b.order)
+		// Oracle 2: each fired event precedes, in (at, prio, schedule
+		// order), every later-fired event that was already pending when it
+		// fired. An event scheduled afterwards may sort earlier — a prio
+		// stamp before the previous firing's, at the same instant.
+		less := func(a, b *rec) bool {
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.prio != b.prio {
+				return a.prio < b.prio
+			}
+			return a.order < b.order
+		}
+		for i, a := range fired {
+			for _, b := range fired[i+1:] {
+				if b.firedBefore <= i && !less(a, b) {
+					t.Fatalf("firing order violated: (at=%v prio=%v order=%d) fired before pending (at=%v prio=%v order=%d)",
+						a.at, a.prio, a.order, b.at, b.prio, b.order)
+				}
 			}
 		}
 		if eng.Pending() != 0 {

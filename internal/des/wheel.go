@@ -1,19 +1,22 @@
 package des
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The event queue is a hierarchical timing wheel: four levels of 256
-// buckets, each level 256× coarser than the one below. A tick is 1024 ns
-// (shift instead of divide), so the wheel spans 2^32 ticks ≈ 73 simulated
-// minutes ahead of the cursor; events beyond that sit in a small overflow
+// buckets, each level 256× coarser than the one below. A tick is 8192 ns
+// (shift instead of divide), so the wheel spans 2^32 ticks ≈ 9.8 simulated
+// hours ahead of the cursor; events beyond that sit in a small overflow
 // heap and migrate in as the cursor approaches.
 //
 // Why not the seed's 4-ary heap: at the ~10^5 live events the EMcast runs
 // reach, every push/pop paid an O(log n) sift with pointer-chasing
 // comparisons (~50% of simulation CPU in profiles). Wheel insertion is
 // O(1) — mask, chain push, set an occupancy bit — and extraction amortises
-// to a 256-bit bitmap scan per non-empty bucket plus one small sort when a
-// bottom-level bucket is drained.
+// to a 256-bit bitmap scan per non-empty bucket plus one O(n log n) sort
+// when a bottom-level bucket is drained.
 //
 // Ordering is bit-for-bit the seed's: events fire in strict (at, prio,
 // seq) order — prio being the scheduling-time stamp (monotone in seq for
@@ -23,6 +26,9 @@ import "math/bits"
 // firing order within a bottom-level bucket is fixed by sorting its chain
 // on (at, prio, seq) when it is promoted to the ready run. seq is unique,
 // so the sort has a single valid result and stability is irrelevant.
+// Chains are pushed at the head, so a cascade re-files a coarse chain
+// oldest first and promotion reverses the bottom chain: same-time events
+// reach the sort in seq order, which it finishes in near-linear time.
 //
 // Cursor invariants:
 //
@@ -38,11 +44,12 @@ import "math/bits"
 //     drains a bucket at most once.
 
 const (
-	// tickShift trades bucket residency against cascade frequency: packet
-	// serialisation gaps in the experiments are ~0.1–30 ms, so an 8.2 µs
-	// tick keeps typical gaps within the 256-tick bottom level (one bitmap
-	// scan per pop, no cascade) while a bucket still only spans a few
-	// microseconds of same-bucket events to sort at drain time.
+	// tickShift sets the bottom-level bucket width. Packet serialisation
+	// gaps in the experiments are ~0.1–30 ms, so an 8.2 µs tick keeps
+	// typical gaps within the 256-tick (2.1 ms) bottom level: one bitmap
+	// scan per pop and few cascades. The price is dense buckets at scale
+	// (runs of thousands of same-tick events on 10k hosts), which is why
+	// sortReady is O(n log n); narrower ticks measured no faster.
 	tickShift = 13 // 1 tick = 8192 ns
 	levelBits = 8
 	wheelSize = 1 << levelBits // buckets per level
@@ -70,6 +77,8 @@ func (l *wheelLevel) push(idx int, ev *event) {
 }
 
 // take empties bucket idx and returns its chain (LIFO insertion order).
+// count is left to the caller, which walks the chain anyway and must
+// decrement it once per event taken.
 func (l *wheelLevel) take(idx int) *event {
 	chain := l.bucket[idx]
 	if chain == nil {
@@ -77,9 +86,6 @@ func (l *wheelLevel) take(idx int) *event {
 	}
 	l.bucket[idx] = nil
 	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	for ev := chain; ev != nil; ev = ev.next {
-		l.count--
-	}
 	return chain
 }
 
@@ -132,8 +138,8 @@ func (e *Engine) insert(ev *event) {
 	}
 }
 
-// insertReady merge-inserts ev into the sorted ready run at its (at, seq)
-// position. Used for events at or behind the cursor: same-tick schedules
+// insertReady merge-inserts ev into the sorted ready run at its (at, prio,
+// seq) position. Used for events at or behind the cursor: same-tick schedules
 // made from inside a callback, and post-RunUntil schedules behind a jumped
 // cursor.
 func (e *Engine) insertReady(ev *event) {
@@ -229,7 +235,18 @@ func (e *Engine) advanceTo(t int64) {
 			continue
 		}
 		idx := int(t>>(uint(levelBits*lvl))) & wheelMask
-		for ev := l.take(idx); ev != nil; {
+		// Re-file the chain oldest first, so the finer buckets (and the
+		// ready run) receive their events in scheduling order too.
+		var fifo *event
+		n := 0
+		for ev := l.take(idx); ev != nil; n++ {
+			nxt := ev.next
+			ev.next = fifo
+			fifo = ev
+			ev = nxt
+		}
+		l.count -= n
+		for ev := fifo; ev != nil; {
 			nxt := ev.next
 			if ev.canceled {
 				e.release(ev)
@@ -239,7 +256,8 @@ func (e *Engine) advanceTo(t int64) {
 			ev = nxt
 		}
 	}
-	for ev := e.levels[0].take(int(t) & wheelMask); ev != nil; {
+	start, n := len(e.ready), 0
+	for ev := e.levels[0].take(int(t) & wheelMask); ev != nil; n++ {
 		nxt := ev.next
 		if ev.canceled {
 			e.release(ev)
@@ -249,26 +267,74 @@ func (e *Engine) advanceTo(t int64) {
 		}
 		ev = nxt
 	}
-	sortReady(e.ready[e.readyHead:])
+	e.levels[0].count -= n
+	// The chain came out newest first; reverse it into scheduling order.
+	slices.Reverse(e.ready[start:])
+	sortReady(e.ready[e.readyHead:], &e.sortBuf)
 }
 
-// sortReady orders a ready run by (at, prio, seq). Chains are short in
-// steady state (a bottom-level bucket spans ~1 µs), so insertion sort
-// wins; the comparison is a strict total order because seq is unique.
-func sortReady(evs []*event) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i
-		for j > 0 {
-			p := evs[j-1]
-			if eventLess(p, ev) {
-				break
+// sortReady orders a ready run by (at, prio, seq); the comparison is a
+// strict total order because seq is unique. A dense bucket at 10k hosts
+// promotes runs of thousands of events, so the sort is a bottom-up merge
+// sort over insertion-sorted blocks: runs of up to one block are a plain
+// insertion sort, and longer ones cost O(n log n). Promotion hands it runs
+// that are mostly in order already, so a merge whose halves are in order
+// is skipped outright. buf is the caller's scratch for the left half of a
+// merge, grown to the largest run and reused, so a warm engine allocates
+// nothing here; it is cleared afterwards so it pins no dead events.
+//
+// The whole sort stays in this one function, comparing only through
+// eventLess: CPU profiles charge the scheduler's ordering cost by those
+// two frame names.
+func sortReady(evs []*event, buf *[]*event) {
+	const block = 16
+	n := len(evs)
+	for lo := 0; lo < n; lo += block {
+		hi := min(lo+block, n)
+		for i := lo + 1; i < hi; i++ {
+			ev := evs[i]
+			j := i
+			for j > lo {
+				p := evs[j-1]
+				if eventLess(p, ev) {
+					break
+				}
+				evs[j] = p
+				j--
 			}
-			evs[j] = p
-			j--
+			evs[j] = ev
 		}
-		evs[j] = ev
 	}
+	used := 0
+	for width := block; width < n; width *= 2 {
+		for lo := 0; lo+width < n; lo += 2 * width {
+			mid := lo + width
+			if !eventLess(evs[mid], evs[mid-1]) {
+				continue // halves already in order
+			}
+			hi := min(mid+width, n)
+			if cap(*buf) < n {
+				*buf = make([]*event, n)
+			}
+			left := (*buf)[:width]
+			copy(left, evs[lo:mid])
+			used = max(used, width)
+			i, j, k := 0, mid, lo
+			for i < width && j < hi {
+				if eventLess(evs[j], left[i]) {
+					evs[k] = evs[j]
+					j++
+				} else {
+					evs[k] = left[i]
+					i++
+				}
+				k++
+			}
+			// Leftover right-half events are already in place.
+			copy(evs[k:], left[i:])
+		}
+	}
+	clear((*buf)[:used])
 }
 
 // peek returns the next live event without consuming it, or nil.
@@ -292,7 +358,7 @@ func (e *Engine) next() *event {
 
 // overflowHeap is a plain binary min-heap on (at, prio, seq) for events
 // beyond the wheel horizon. It is cold storage: real runs never reach it
-// (the horizon is ~73 simulated minutes), so no indexing or eager removal
+// (the horizon is ≈9.8 simulated hours), so no indexing or eager removal
 // — canceled records are reaped when they surface.
 type overflowHeap struct {
 	evs []*event

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/xrand"
@@ -149,7 +151,7 @@ func TestDifferentialWheelVsSeedHeap(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0: // same-instant burst
 				at = Time(rng.Intn(4)) * 1_000_000
-			case 1: // sub-tick spread (inside one 1024 ns bucket)
+			case 1: // sub-tick spread (inside one 8192 ns bucket)
 				at = 5_000_000 + Time(rng.Intn(1024))
 			case 2: // far future: exercises coarse levels
 				at = Time(rng.Intn(1_000_000_000_000)) // up to 1000 s
@@ -271,7 +273,7 @@ func TestSteadyStatePoolStopsGrowing(t *testing.T) {
 }
 
 func TestSameTickSubOrder(t *testing.T) {
-	// Events inside one 1024 ns bucket must fire by exact nanosecond, then
+	// Events inside one 8192 ns bucket must fire by exact nanosecond, then
 	// seq.
 	eng := New()
 	var order []Time
@@ -286,5 +288,159 @@ func TestSameTickSubOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v", order)
 		}
+	}
+}
+
+// TestDenseBucketDifferential fills one tick with thousands of events, the
+// shape of a bottom-level bucket on a 10k-host run, and checks the firing
+// order against an independent sort on (at, prio, schedule order). The
+// tick mixes sub-tick times, explicit priorities with many ties, ~25%
+// canceled records, events filed a level up that cascade down, direct
+// bottom-level pushes, and callbacks that schedule more same-tick events
+// into the live ready run.
+func TestDenseBucketDifferential(t *testing.T) {
+	const tick = Time(1) << tickShift
+	// tick 2000 lies in level-1 block 7 (ticks 1792–2047): scheduled from
+	// tick 1 it files in level 1, from tick 1760 directly in level 0.
+	base := 2000 * tick
+	for trial := 0; trial < 3; trial++ {
+		rng := xrand.New(0xDE5E + uint64(trial))
+		eng := New()
+		type rec struct {
+			at, prio Time
+			order    int
+			canceled bool
+			h        Event
+		}
+		var recs []*rec
+		var got []int
+		spawns := 0
+		var schedule func(at, prio Time)
+		schedule = func(at, prio Time) {
+			r := &rec{at: at, prio: prio, order: len(recs)}
+			recs = append(recs, r)
+			r.h = eng.SchedulePrio(at, prio, func() {
+				got = append(got, r.order)
+				if r.order%8 == 5 && spawns < 300 {
+					// Same-tick follow-up into the live run, stamped now.
+					spawns++
+					now := eng.Now()
+					end := (now>>tickShift + 1) << tickShift
+					schedule(now+Time(rng.Intn(int(end-now))), now)
+				}
+			})
+		}
+		burst := func(n int) {
+			now := eng.Now()
+			prios := []Time{0, now / 2, now}
+			for i := 0; i < n; i++ {
+				schedule(base+Time(rng.Intn(16))*512, prios[rng.Intn(len(prios))])
+			}
+		}
+		eng.Schedule(tick, func() { burst(1200) })
+		eng.Schedule(1760*tick, func() {
+			burst(1200)
+			for _, r := range recs {
+				if rng.Bool(0.25) {
+					eng.Cancel(r.h)
+					r.canceled = true
+				}
+			}
+		})
+		eng.Run()
+
+		var want []*rec
+		for _, r := range recs {
+			if !r.canceled {
+				want = append(want, r)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.prio != b.prio {
+				return a.prio < b.prio
+			}
+			return a.order < b.order
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fired %d events, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i].order {
+				t.Fatalf("trial %d: firing order diverges at %d: got event %d, want %d",
+					trial, i, got[i], want[i].order)
+			}
+		}
+		if len(recs) < 2000 || spawns == 0 {
+			t.Fatalf("trial %d: %d events in the dense tick, %d spawned", trial, len(recs), spawns)
+		}
+		for lvl := range eng.levels {
+			if c := eng.levels[lvl].count; c != 0 {
+				t.Fatalf("trial %d: level %d count %d after drain", trial, lvl, c)
+			}
+		}
+	}
+}
+
+// A warm engine draining dense buckets allocates nothing: event records
+// come from the pool, and the ready run and the sort's merge scratch keep
+// their capacity between buckets.
+func TestDenseBucketDrainAllocs(t *testing.T) {
+	eng := New()
+	rng := xrand.New(11)
+	offs := make([]Time, 2048)
+	for i := range offs {
+		offs[i] = Time(rng.Intn(1 << tickShift))
+	}
+	fn := func() {}
+	drain := func() {
+		base := Time(tickOf(eng.Now())+10) << tickShift
+		for _, off := range offs {
+			eng.Schedule(base+off, fn)
+		}
+		eng.Run()
+	}
+	drain()
+	if a := testing.AllocsPerRun(20, drain); a != 0 {
+		t.Fatalf("draining a warm dense bucket allocated %.1f times per run", a)
+	}
+	for _, ev := range eng.sortBuf {
+		if ev != nil {
+			t.Fatal("sort scratch still holds an event after the drain")
+		}
+	}
+}
+
+// BenchmarkDenseBucket schedules n events at random times inside a single
+// tick and drains them: the promote-and-sort cost of a dense bottom-level
+// bucket. ns/event should stay roughly flat as n grows.
+func BenchmarkDenseBucket(b *testing.B) {
+	for _, n := range []int{256, 2048, 8192} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			eng := New()
+			rng := xrand.New(3)
+			offs := make([]Time, n)
+			for i := range offs {
+				offs[i] = Time(rng.Intn(1 << tickShift))
+			}
+			fn := func() {}
+			drain := func() {
+				base := Time(tickOf(eng.Now())+10) << tickShift
+				for _, off := range offs {
+					eng.Schedule(base+off, fn)
+				}
+				eng.Run()
+			}
+			drain() // warm the pool and the sort scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drain()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
 	}
 }
